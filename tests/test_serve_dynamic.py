@@ -303,6 +303,36 @@ class TestDynamicInvariants:
         assert report.replica_seconds is None
         assert not cluster.dynamic
 
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_sketch_serve_streams_sorted_input_only(self, tenants, dynamic):
+        # Sketch mode streams its input for static and dynamic clusters
+        # alike: unsorted input is refused with one message, and a sorted
+        # one-shot iterator gives the same report as the generator stream.
+        cluster = _cluster(tenants)
+        mean = cluster.mean_service_s()
+        if dynamic:
+            cluster = cluster.with_options(
+                faults=FaultSchedule.parse(f"fail@{10 * mean}:r0", num_replicas=2)
+            )
+        assert cluster.dynamic == dynamic
+        duration = 60 * mean
+        generator = LoadGenerator.poisson(
+            list(cluster.workloads), 0.8 * 2 / mean, seed=0
+        )
+        requests = generator.generate(duration_s=duration)
+        with pytest.raises(
+            ValueError, match=r"^sketch-mode serve requires requests sorted by"
+        ):
+            cluster.serve(list(reversed(requests)), duration_s=duration, mode="sketch")
+        sketch = cluster.serve(iter(requests), duration_s=duration, mode="sketch")
+        streamed = cluster.serve_stream(generator, duration_s=duration)
+        assert sketch.to_json() == streamed.to_json()
+        assert sketch.is_dynamic == dynamic
+        exact = cluster.serve(list(reversed(requests)), duration_s=duration)
+        assert sketch.submitted == exact.submitted == len(requests)
+        assert sketch.completed == exact.completed
+        assert sketch.replica_seconds == exact.replica_seconds
+
     def test_dynamic_report_to_dict_round_trips(self, tenants):
         import json
 

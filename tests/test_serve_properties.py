@@ -30,7 +30,9 @@ from repro.serve import (
     PowerModel,
     ReactiveAutoscaler,
     Workload,
+    reference_serve,
 )
+from repro.serve.reference import assert_reports_identical
 
 # The CI seed matrix: every invariant is checked under each of these.
 SEEDS = [0, 1, 2]
@@ -218,6 +220,63 @@ def test_sketch_mode_conserves_and_is_deterministic(seed):
         report_a.per_replica_utilisation, exact.per_replica_utilisation
     )
     assert report_a.to_json() == report_b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Static clusters: seeded differential test against the full-sort oracle
+# ---------------------------------------------------------------------------
+# Wider than SEEDS: each seed is one random point of the static knob space
+# (policy x replicas x batching x queue bound x arrival process), and the
+# event loop must match the oracle at every point.
+DIFFERENTIAL_SEEDS = list(range(64))
+
+_ARRIVALS = ["poisson", "bursty", "constant", "diurnal"]
+
+
+def _random_static_scenario(seed: int):
+    """A random static cluster and load: the seed matrix's tenants, re-drawn knobs."""
+    base, _, _ = _random_generator(seed)
+    rng = np.random.default_rng([seed, 211])
+    mean = base.mean_service_s()
+    cluster = base.with_options(
+        num_replicas=int(rng.integers(1, 5)),
+        policy=str(rng.choice(_POLICIES)),
+        max_batch_size=int(rng.integers(1, 5)),
+        batch_timeout_s=float(rng.choice([0.0, 0.5, 2.0])) * mean,
+        queue_capacity=(int(rng.integers(1, 9)) if rng.random() < 0.5 else None),
+    )
+    rate = float(rng.uniform(0.3, 1.6)) * cluster.num_replicas / mean
+    kind = str(rng.choice(_ARRIVALS))
+    generator = getattr(LoadGenerator, kind)(list(cluster.workloads), rate, seed=seed)
+    return cluster, generator, 40 * mean
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_static_cluster_matches_reference_oracle(seed):
+    cluster, generator, duration = _random_static_scenario(seed)
+    assert not cluster.dynamic
+    requests = generator.generate(duration_s=duration)
+    exact = cluster.serve(requests, duration_s=duration)
+    assert_reports_identical(
+        exact, reference_serve(cluster, requests, duration_s=duration)
+    )
+    assert not exact.is_dynamic
+
+    sketch = cluster.serve_stream(generator, duration_s=duration)
+    assert not sketch.is_dynamic
+    assert sketch.submitted == exact.submitted
+    assert sketch.completed == exact.completed
+    assert sketch.dropped == exact.dropped
+    np.testing.assert_array_equal(
+        sketch.per_replica_utilisation, exact.per_replica_utilisation
+    )
+    for name, outcome in exact.tenants.items():
+        streamed = sketch.tenants[name]
+        assert streamed.completed == outcome.completed
+        assert streamed.dropped == outcome.dropped
+        assert (
+            streamed.report.deadline_miss_count == outcome.report.deadline_miss_count
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ class TestSketchOracleCrossCheck:
         rate = 1.1 * cluster.num_replicas / cluster.mean_service_s()
         generator = LoadGenerator.poisson(two_tenants, rate, seed=5)
         fast = cluster.serve_stream(generator, num_requests=400)
-        scalar = cluster._serve_sketch(
-            generator.iter_requests(num_requests=400), None
+        scalar = cluster._serve_loop(
+            generator.iter_requests(num_requests=400), None, "sketch"
         )
         np.testing.assert_array_equal(
             fast.per_replica_utilisation, scalar.per_replica_utilisation
