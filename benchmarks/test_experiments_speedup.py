@@ -10,10 +10,12 @@ This benchmark runs the harness both ways and asserts
 2. on machines with enough cores, the parallel run is at least **2x**
    faster than the serial run.
 
-The speedup is measured over every experiment except ``table4``: its PubMed
-dataset-statistics item alone is ~half the fast suite's wall clock, and a
-single item cannot be split across workers (Amdahl's law caps the full
-suite below 2x on small runners regardless of engine quality).  The
+The speedup is measured over every experiment except ``table4``, whose
+dataset-statistics items are one-shot dataset generation rather than engine
+work, and a single item cannot be split across workers.  Its PubMed item was
+once ~half the fast suite's wall clock; with the linear-time Holme–Kim
+generator it takes ~0.1s of a ~0.9s serial fast suite on a 2-vCPU host, and
+the exclusion stays so the gate keeps measuring what its baseline measured.  The
 remaining ten experiments decompose into ~58 items whose largest is ~7% of
 their total, giving a ~4x ceiling on four cores.  Row identity is still
 asserted on exactly what is benchmarked.

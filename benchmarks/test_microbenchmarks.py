@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.arch import ArchitectureConfig, FlowGNNAccelerator, simulate_inference
-from repro.datasets import make_hep_like, make_molhiv_like
+from repro.datasets import make_hep_like, make_molhiv_like, make_pubmed_like
 from repro.nn import build_model, segment_sum
 
 
@@ -41,6 +41,11 @@ def test_accelerator_functional_run(benchmark, molhiv_graph):
     model = build_model("GCN", input_dim=9)
     accelerator = FlowGNNAccelerator(model)
     benchmark(accelerator.run, molhiv_graph, True)
+
+
+def test_powerlaw_cluster_pubmed_like(benchmark):
+    # Holme–Kim generation of the fast suite's largest citation graph.
+    benchmark(make_pubmed_like, scale=0.25)
 
 
 def test_segment_sum_throughput(benchmark):

@@ -103,8 +103,10 @@ def make_citeseer_like(seed: int = 12, scale: float = 1.0) -> GraphDataset:
 def make_pubmed_like(seed: int = 13, scale: float = 1.0) -> GraphDataset:
     """PubMed-like citation graph (19,717 nodes at scale 1.0).
 
-    PubMed is large; pass ``scale < 1`` for faster tests — the experiment
-    harness records the scale used so reported numbers stay comparable.
+    The full-scale graph generates in well under a second, but simulating
+    inference over 19,717 nodes is slow; pass ``scale < 1`` for faster
+    simulations — the experiment harness records the scale used so reported
+    numbers stay comparable.
     """
     nodes, edges, dim = CITATION_REFERENCE["PubMed"]
     return _make_citation_graph("PubMed", nodes, edges, dim, seed, scale)

@@ -18,6 +18,7 @@ dataset, test and benchmark is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
@@ -109,6 +110,63 @@ def barabasi_albert_graph(
     )
 
 
+# CPython's set table (Objects/setobject.c); ``tests/test_graph_generators.py``
+# pins the mirror against real sets on every supported Python.
+_LINEAR_PROBES = 9
+_PERTURB_SHIFT = 5
+_SIZE_T_MASK = sys.maxsize * 2 + 1
+
+
+def _free_slot(occupied: bytearray, key_hash: int) -> int:
+    """First empty slot on ``key_hash``'s probe path, as ``set_insert_clean``."""
+    mask = len(occupied) - 1
+    i = key_hash & mask
+    perturb = key_hash & _SIZE_T_MASK
+    while True:
+        if not occupied[i]:
+            return i
+        if i + _LINEAR_PROBES <= mask:
+            for j in range(i + 1, i + _LINEAR_PROBES + 1):
+                if not occupied[j]:
+                    return j
+        perturb >>= _PERTURB_SHIFT
+        i = (i * 5 + 1 + perturb) & mask
+
+
+class _SetPlacement:
+    """The slot CPython's ``set`` gives each key of an insert-only set.
+
+    A set iterates in slot order, so ``sorted(slot, key=slot.get)`` equals
+    ``list(s)`` for the set ``s`` that received the same ``add`` calls.
+    ``slot`` doubles as the membership test.  Nothing is deleted, so
+    CPython's ``fill`` equals ``used``.
+    """
+
+    __slots__ = ("slot", "_occupied")
+
+    def __init__(self) -> None:
+        self.slot: dict = {}
+        self._occupied = bytearray(8)
+
+    def add(self, key) -> None:
+        """Insert a key that is not yet present (``set_add_entry``)."""
+        self.slot[key] = index = _free_slot(self._occupied, hash(key))
+        self._occupied[index] = 1
+        used = len(self.slot)
+        if used * 5 >= (len(self._occupied) - 1) * 3:
+            self._resize(used * 2 if used > 50000 else used * 4)
+
+    def _resize(self, min_used: int) -> None:
+        """``set_table_resize``: reinsert every key in old-slot order."""
+        size = 8
+        while size <= min_used:
+            size <<= 1
+        self._occupied = bytearray(size)
+        for key in sorted(self.slot, key=self.slot.get):
+            self.slot[key] = index = _free_slot(self._occupied, hash(key))
+            self._occupied[index] = 1
+
+
 def powerlaw_cluster_graph(
     num_nodes: int,
     attachment: int,
@@ -121,22 +179,34 @@ def powerlaw_cluster_graph(
 
     Citation networks have both a power-law degree distribution and high
     clustering; the triangle-closing step reproduces the latter.
+
+    A triangle step picks among the last target's neighbours in the order a
+    Python ``set`` of the ``(source, target)`` edges would list them, which
+    :class:`_SetPlacement` reproduces without scanning the edges.
     """
-    if not 0.0 <= triangle_probability <= 1.0:
-        raise ValueError("triangle_probability must lie in [0, 1]")
+    if not 0.0 <= triangle_probability < 1.0:
+        raise ValueError("triangle_probability must lie in [0, 1)")
     if num_nodes <= attachment:
         raise ValueError("num_nodes must exceed attachment")
 
     repeated: list[int] = list(range(attachment))
-    edges = set()
+    edges = _SetPlacement()
+    slot = edges.slot
+    # Every source links exactly ``attachment`` targets, so node v's
+    # (v, b) edges are the ``attachment`` entries of ``chosen`` from
+    # ``(v - attachment) * attachment``; its (a, v) edges are ``in_adj[v]``.
+    chosen: list[int] = []
+    in_adj: list[list[int]] = [[] for _ in range(num_nodes)]
     for source in range(attachment, num_nodes):
         # First link by preferential attachment.
         target = int(repeated[rng.integers(0, len(repeated))])
         added = 0
         last_target = target
         while added < attachment:
-            if target != source and (source, target) not in edges:
+            if target != source and (source, target) not in slot:
                 edges.add((source, target))
+                chosen.append(target)
+                in_adj[target].append(source)
                 repeated.append(source)
                 repeated.append(target)
                 last_target = target
@@ -144,17 +214,27 @@ def powerlaw_cluster_graph(
             if added >= attachment:
                 break
             if rng.random() < triangle_probability:
-                # Triangle closure: connect to a neighbour of the last target.
-                neighbours = [b for (a, b) in edges if a == last_target] + [
-                    a for (a, b) in edges if b == last_target
-                ]
-                if neighbours:
-                    target = int(neighbours[rng.integers(0, len(neighbours))])
+                # Triangle closure: connect to a neighbour of the last target,
+                # listed as (last_target, b) edges then (a, last_target) edges.
+                start = (last_target - attachment) * attachment
+                outs = chosen[start : start + attachment] if start >= 0 else []
+                ins = in_adj[last_target]
+                if outs or ins:
+                    k = int(rng.integers(0, len(outs) + len(ins)))
+                    if k < len(outs):
+                        ordered = sorted(outs, key=lambda b: slot[(last_target, b)])
+                        target = ordered[k]
+                    else:
+                        ordered = sorted(ins, key=lambda a: slot[(a, last_target)])
+                        target = ordered[k - len(outs)]
                 else:
                     target = int(repeated[rng.integers(0, len(repeated))])
             else:
                 target = int(repeated[rng.integers(0, len(repeated))])
-    pairs = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    # Free the adjacency before the output arrays are built: together they
+    # would set the peak memory of a dataset load.
+    del repeated, chosen, in_adj
+    pairs = np.asarray(sorted(slot), dtype=np.int64).reshape(-1, 2)
     edge_index = _undirected_to_directed(pairs)
     return _attach_features(num_nodes, edge_index, node_feature_dim, 0, rng, name)
 

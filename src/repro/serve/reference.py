@@ -212,7 +212,7 @@ def reference_serve_dynamic(
 ) -> ServingReport:
     """The full-sort scalar oracle for the *dynamic* serving loop.
 
-    Mirrors :meth:`Cluster._serve_dynamic` (exact mode) with the naive data
+    Mirrors :meth:`Cluster._serve_loop` (exact mode) with the naive data
     structures of :func:`reference_serve`: a flat queue list re-sorted per
     instant instead of heap lanes, linear scans instead of incremental
     bookkeeping.  Every control-plane float expression — the rented-time
